@@ -8,8 +8,9 @@ use std::time::Duration;
 
 use indulgent_model::{ClientId, RequestId};
 use indulgent_server::{
-    remote_lease_state, remote_stats, EngineConfig, KvOp, KvServer, KvService, LocalKv, Outcome,
-    PipeClient, ReadPath, RemoteKv, Response,
+    remote_audit, remote_lease_state, remote_stats, sync_all_from_peer, DurabilityConfig,
+    EngineConfig, KvOp, KvServer, KvService, LocalKv, Outcome, PipeClient, ReadPath, RemoteKv,
+    Response, ServiceError,
 };
 
 /// Deterministic sizing: batch of 1 so sequential calls sequence one
@@ -136,6 +137,78 @@ fn lease_state_is_queryable_over_the_wire() {
     );
     drop(kv);
     server.shutdown().check().expect("audit clean");
+}
+
+/// The wire control plane end to end on a 2-shard server that has
+/// served real load: the remote audit accounts for every ack, a rejoin
+/// transfer boots a server that answers the same values, and a scrape
+/// of a shard the server does not run goes unanswered without harming
+/// the connection's neighbours.
+#[test]
+fn control_plane_audits_syncs_and_scrapes_over_the_wire() {
+    let config = || {
+        EngineConfig::default_5()
+            .with_batch_size(4)
+            .with_pipeline_depth(3)
+            .with_shards(2)
+            .with_reads(ReadPath::Lease)
+    };
+    let server = KvServer::bind("127.0.0.1:0", config()).expect("bind");
+    let addr = server.addr();
+
+    // Four sessions write disjoint keys and read them back; the last
+    // value each key took is `1000 * key + 9`.
+    let workers: Vec<_> = (0..4u16)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut kv = RemoteKv::connect(addr, ClientId(u64::from(c))).expect("connect");
+                let mut acks = 0u64;
+                for round in 0..10u32 {
+                    for key in c * 8..c * 8 + 8 {
+                        kv.put(key, 1_000 * u32::from(key) + round).expect("put acked");
+                        kv.get(key).expect("get acked");
+                        acks += 2;
+                    }
+                }
+                acks
+            })
+        })
+        .collect();
+    let acks: u64 = workers.into_iter().map(|w| w.join().expect("worker")).sum();
+
+    let summary = remote_audit(addr, Duration::from_secs(10)).expect("audit over the wire");
+    assert!(summary.complete && summary.ok, "audit verdict: {summary:?}");
+    assert_eq!(summary.shards, 2);
+    assert!(summary.fast_reads > 0, "the lease path served reads");
+    assert_eq!(summary.committed + summary.fast_reads, acks, "every ack is accounted for");
+
+    // A scrape of a shard the server does not run gets no reply ...
+    match remote_stats(addr, 7, Duration::from_millis(300)) {
+        Err(ServiceError::Timeout { .. }) => {}
+        other => panic!("scrape of a missing shard must time out, got {other:?}"),
+    }
+    // ... and the server keeps answering the shards it does run.
+    let report = remote_stats(addr, 0, Duration::from_secs(5)).expect("shard 0 scrape");
+    assert_eq!((report.shard, report.shards), (0, 2));
+
+    // Rejoin: pull every shard's state into a fresh root and boot on it.
+    let root = std::env::temp_dir().join(format!("indulgent-wire-rejoin-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let synced = sync_all_from_peer(addr, 2, &root).expect("rejoin transfer");
+    assert_eq!(synced, summary.slots, "the transfer covers every applied slot");
+    server.shutdown().check().expect("source audit clean");
+
+    let rejoined =
+        KvServer::bind("127.0.0.1:0", config().with_durability(DurabilityConfig::new(&root)))
+            .expect("boot on the synced root");
+    let mut kv = RemoteKv::connect(rejoined.addr(), ClientId(99)).expect("connect");
+    for key in 0..32u16 {
+        let got = kv.get(key).expect("read after rejoin");
+        assert_eq!(value_of(&got), Some(Some(1_000 * u32::from(key) + 9)), "key {key}");
+    }
+    drop(kv);
+    rejoined.shutdown().check().expect("rejoined audit clean");
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// The observability differential: the same scripted workload through
