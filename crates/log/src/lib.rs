@@ -94,7 +94,7 @@ pub use frontend::{ClientFrontend, IntakePolicy};
 pub use runner_net::{NetProfile, SessionLogRunner};
 pub use runner_sim::{compile_schedule, SimLogRunner};
 
-use indulgent_consensus::{AfPlus2, AtPlus2, RotatingCoordinator};
+use indulgent_consensus::{AtPlus2, RotatingCoordinator};
 use indulgent_model::{ProcessId, SystemConfig, Value};
 
 /// The log's default slot algorithm: `A_{t+2}` over the rotating
@@ -117,20 +117,6 @@ pub fn at_plus2_factory(
 /// The [`AtSlot`] instance-reset hook, shared by the simulator's
 /// multi-shot executor and the runtime session's recycling pools.
 pub fn at_plus2_reset() -> impl Fn(usize, &mut AtSlot, Value) + Clone + Send + Sync {
-    |_i, p, v| p.reset_instance(v)
-}
-
-/// Builds the per-replica `A_{f+2}` automaton factory (requires
-/// `t < n/3`): early decision at `f + 2` — slots pay for the crashes
-/// that *happen*, not the crashes tolerated.
-pub fn af_plus2_factory(
-    config: SystemConfig,
-) -> impl Fn(usize, Value) -> AfPlus2 + Clone + Send + Sync {
-    move |i: usize, v: Value| AfPlus2::new(config, ProcessId::new(i), v)
-}
-
-/// The `A_{f+2}` instance-reset hook (simulator and recycling session).
-pub fn af_plus2_reset() -> impl Fn(usize, &mut AfPlus2, Value) + Clone + Send + Sync {
     |_i, p, v| p.reset_instance(v)
 }
 
@@ -170,6 +156,7 @@ pub fn run_log_session(
 
 #[cfg(test)]
 mod tests {
+    use indulgent_consensus::AfPlus2;
     use indulgent_model::Round;
 
     use super::*;
@@ -337,8 +324,9 @@ mod tests {
             LogScenario::failure_free(7),
             frontend,
         );
-        let report =
-            driver.run(SimLogRunner::new(config, af_plus2_factory(config), af_plus2_reset()));
+        let factory = move |i: usize, v: Value| AfPlus2::new(config, ProcessId::new(i), v);
+        let reset = |_i: usize, p: &mut AfPlus2, v: Value| p.reset_instance(v);
+        let report = driver.run(SimLogRunner::new(config, factory, reset));
         report.check().unwrap();
         assert_eq!(report.committed_commands, 6);
         // f = 0 crashes: early decision at f + 2 = 2.

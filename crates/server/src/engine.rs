@@ -97,15 +97,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use indulgent_log::{at_plus2_factory, at_plus2_reset, AtSlot, ClientFrontend, IntakePolicy};
 use indulgent_model::{BatchId, ClientId, CommandId, Decision, RequestId, SystemConfig};
 use indulgent_obs::{FlightKind, FlightRecorder, Histogram};
 use indulgent_runtime::{DelayModel, InstanceSpec, Session};
 
-use crate::lease::{self, LeaderLease, LeaseConfig, ReadPath, ReplicaLeaseAgent};
+use crate::lease::{self, LeaderLease, LeaseConfig, LeaseReply, ReadPath, ReplicaLeaseAgent};
 use crate::proto::{
-    AuditSummary, KvOp, LeaseFrame, LeaseStatus, Outcome, Request, Response, StatsReport, SyncFrame,
+    AuditSummary, ControlRequest, KvOp, LeaseStatus, Outcome, Request, Response, StatsReport,
+    SyncFrame,
 };
 use crate::shard::{shard_dir, ShardRouter, ShardedAudit};
 use crate::snapshot::{SessionEntry, Snapshot};
@@ -281,8 +282,9 @@ impl fmt::Display for ConnId {
 pub enum Outbound {
     /// A request acknowledgement.
     Ack(Response),
-    /// A pre-encoded control frame payload (sync stream, audit reply);
-    /// the transport writes it as one frame verbatim.
+    /// A pre-encoded reply to a [`ControlRequest`] (one frame of a sync
+    /// stream, or an audit, lease-state or stats reply); the transport
+    /// writes it as one frame verbatim.
     Control(Vec<u8>),
 }
 
@@ -300,26 +302,10 @@ enum EngineMsg {
         conn: ConnId,
         request: Request,
     },
-    /// Stream one shard's durable state (snapshot + catch-up records) to
-    /// `conn`.
-    Sync {
+    /// Answer an operator query on `conn` (see [`ControlRequest`]).
+    Control {
         conn: ConnId,
-        shard: u32,
-    },
-    /// Run the replay audit (all shards, cross-shard checks included)
-    /// and reply its summary to `conn`.
-    Audit {
-        conn: ConnId,
-    },
-    /// Reply one shard's lease / read-path state to `conn`.
-    LeaseState {
-        conn: ConnId,
-        shard: u32,
-    },
-    /// Reply one shard's metrics scrape ([`StatsReport`]) to `conn`.
-    Stats {
-        conn: ConnId,
-        shard: u32,
+        req: ControlRequest,
     },
     Shutdown,
     /// Hard-crash: exit immediately, no drain, no final snapshot.
@@ -369,34 +355,12 @@ impl SubmitHandle {
         self.intake.send(EngineMsg::Submit { conn: self.conn, request }).is_ok()
     }
 
-    /// Asks the engine to stream one shard's durable state to this
-    /// connection as control frames (the per-shard rejoin transfer);
-    /// `false` if the engine has shut down. A request naming a shard the
-    /// service does not run is dropped (no reply).
-    pub fn request_sync(&self, shard: u32) -> bool {
-        self.intake.send(EngineMsg::Sync { conn: self.conn, shard }).is_ok()
-    }
-
-    /// Asks the engine to run the replay audit and reply a summary
-    /// control frame; `false` if the engine has shut down.
-    pub fn request_audit(&self) -> bool {
-        self.intake.send(EngineMsg::Audit { conn: self.conn }).is_ok()
-    }
-
-    /// Asks the engine to reply one shard's [`LeaseStatus`] control
-    /// frame — the lease-state observability hook; `false` if the engine
-    /// has shut down. A request naming a shard the service does not run
-    /// is dropped (no reply).
-    pub fn request_lease_state(&self, shard: u32) -> bool {
-        self.intake.send(EngineMsg::LeaseState { conn: self.conn, shard }).is_ok()
-    }
-
-    /// Asks the engine to reply one shard's [`StatsReport`] control
-    /// frame — the metrics-scrape observability hook; `false` if the
-    /// engine has shut down. A request naming a shard the service does
-    /// not run is dropped (no reply).
-    pub fn request_stats(&self, shard: u32) -> bool {
-        self.intake.send(EngineMsg::Stats { conn: self.conn, shard }).is_ok()
+    /// Sends an operator query whose reply arrives on this connection's
+    /// outbound stream as [`Outbound::Control`] frames; `false` if the
+    /// engine has shut down. A query naming a shard the service does not
+    /// run is dropped (no reply).
+    pub fn control(&self, req: ControlRequest) -> bool {
+        self.intake.send(EngineMsg::Control { conn: self.conn, req }).is_ok()
     }
 }
 
@@ -1311,7 +1275,7 @@ impl ShardState {
         conn: ConnId,
         request: Request,
         read_path: ReadPath,
-    ) -> bool {
+    ) {
         let key = (request.client, request.request);
         match self.dedup.get_mut(&key) {
             Some(DedupState::Applied(resp)) => {
@@ -1320,7 +1284,6 @@ impl ShardState {
                 if let Some(tx) = conns.get(&conn) {
                     let _ = tx.send(Outbound::Ack(*resp));
                 }
-                false
             }
             Some(DedupState::InFlight(cid)) => {
                 self.dedup_hits += 1;
@@ -1328,7 +1291,6 @@ impl ShardState {
                 if let Some(m) = self.meta.get_mut(cid) {
                     m.conn = conn;
                 }
-                false
             }
             Some(DedupState::PendingRead) => {
                 // A retry of a read still waiting on the ladder:
@@ -1342,7 +1304,6 @@ impl ShardState {
                 {
                     p.conn = conn;
                 }
-                false
             }
             None => {
                 if read_path != ReadPath::Sequenced {
@@ -1358,7 +1319,7 @@ impl ShardState {
                             key: k,
                         });
                         self.dedup.insert(key, DedupState::PendingRead);
-                        return true;
+                        return;
                     }
                 }
                 if matches!(request.op, KvOp::Get { .. }) {
@@ -1385,7 +1346,6 @@ impl ShardState {
                 if self.frontend.open_len() == 1 {
                     self.open_since = Some(Instant::now());
                 }
-                true
             }
         }
     }
@@ -1527,10 +1487,9 @@ impl ShardState {
         if let Some(ls) = self.lease.as_mut() {
             let now = Instant::now();
             if ls.renew_due(now) {
-                for (agent, frame) in self.agents.iter_mut().zip(ls.acquire_frames(now)) {
-                    let msg = LeaseFrame::decode(&frame).expect("own acquire frame decodes");
-                    let reply = agent.handle(&msg, now).expect("replica handles acquire");
-                    ls.absorb(&LeaseFrame::decode(&reply).expect("replica reply decodes"));
+                let acquire = ls.acquire(now);
+                for agent in &mut self.agents {
+                    ls.absorb(agent.handle(acquire, now));
                 }
                 renewed = true;
             }
@@ -1558,20 +1517,15 @@ impl ShardState {
             && self.lease.as_ref().is_some_and(|l| l.read_allowed(now));
         let agents = &mut self.agents;
         let attested = !lease_ok
-            && self.lease.as_mut().is_some_and(|ls| {
+            && self.lease.as_ref().is_some_and(|ls| {
                 // Ladder step 2: one attest round re-certifies freshness
                 // for this whole drain batch.
-                let mut vouches = 0usize;
-                for (agent, frame) in agents.iter_mut().zip(ls.attest_frames()) {
-                    let msg = LeaseFrame::decode(&frame).expect("own attest frame decodes");
-                    let reply = agent.handle(&msg, now).expect("replica handles attest");
-                    if matches!(
-                        LeaseFrame::decode(&reply).expect("replica vouch decodes"),
-                        LeaseFrame::Vouch { valid: true, .. }
-                    ) {
-                        vouches += 1;
-                    }
-                }
+                let attest = ls.attest();
+                let vouches = agents
+                    .iter_mut()
+                    .map(|agent| agent.handle(attest, now))
+                    .filter(|reply| matches!(reply, LeaseReply::Vouch { valid: true, .. }))
+                    .count();
                 vouches >= quorum
             });
         if lease_ok || attested {
@@ -1613,7 +1567,7 @@ impl ShardState {
                 self.dedup.remove(&(p.client, p.request));
                 let request =
                     Request { client: p.client, request: p.request, op: KvOp::Get { key: p.key } };
-                let _ = self.submit(conns, p.conn, request, ReadPath::Sequenced);
+                self.submit(conns, p.conn, request, ReadPath::Sequenced);
             }
         }
     }
@@ -1730,6 +1684,99 @@ impl ShardState {
     }
 }
 
+/// The driver loop's view of its intake: the live connections, the
+/// control requests waiting for the next apply, and the lifecycle flags.
+struct Intake {
+    conns: HashMap<ConnId, Sender<Outbound>>,
+    control: Vec<(ConnId, ControlRequest)>,
+    router: ShardRouter,
+    read_path: ReadPath,
+    shutting_down: bool,
+    died: bool,
+}
+
+impl Intake {
+    /// The one handler for every intake message, whether the loop
+    /// drained it or woke on it.
+    fn take(&mut self, msg: EngineMsg, shards: &mut [ShardState]) {
+        match msg {
+            EngineMsg::Register { conn, tx } => {
+                self.conns.insert(conn, tx);
+            }
+            EngineMsg::Deregister { conn } => {
+                self.conns.remove(&conn);
+            }
+            EngineMsg::Submit { conn, request } => {
+                let si = self.router.shard_of(request.op.key()) as usize;
+                shards[si].submit(&self.conns, conn, request, self.read_path);
+            }
+            EngineMsg::Control { conn, req } => self.control.push((conn, req)),
+            EngineMsg::Shutdown => self.shutting_down = true,
+            EngineMsg::Die => self.died = true,
+        }
+    }
+}
+
+/// Answers one control request on `tx`. A request naming a shard the
+/// service does not run gets no reply.
+fn answer_control(
+    req: ControlRequest,
+    tx: &Sender<Outbound>,
+    shards: &[ShardState],
+    cfg: &EngineConfig,
+) {
+    let shard_count = u32::try_from(shards.len()).expect("shard count fits u32");
+    let reply = |bytes| {
+        let _ = tx.send(Outbound::Control(bytes));
+    };
+    match req {
+        ControlRequest::Audit => reply(audit_summary(shards, shard_count, cfg.system).encode()),
+        ControlRequest::Sync { shard, .. } => {
+            if let Some(sh) = shards.get(shard as usize) {
+                sh.serve_sync(tx);
+            }
+        }
+        ControlRequest::LeaseState { shard } => {
+            if let Some(sh) = shards.get(shard as usize) {
+                reply(sh.lease_status(shard_count, cfg.reads.as_wire()).encode());
+            }
+        }
+        ControlRequest::Stats { shard } => {
+            if let Some(sh) = shards.get(shard as usize) {
+                reply(sh.stats_report(shard_count).encode());
+            }
+        }
+    }
+}
+
+/// Runs the replay audit over every shard (when all are at rest) and
+/// sums the headline counters. A failed audit ships every shard's
+/// flight recording: the recording is the context the violation lacks.
+fn audit_summary(shards: &[ShardState], shard_count: u32, system: SystemConfig) -> AuditSummary {
+    let n = system.n() as u64;
+    let quiesced = shards.iter().all(|s| s.quiesced(n));
+    let ok = quiesced && {
+        let audit = ShardedAudit { shards: shards.iter().map(|s| s.audit(system)).collect() };
+        audit.check().is_ok()
+    };
+    if quiesced && !ok {
+        for sh in shards {
+            sh.flight.record(FlightKind::AuditViolation, u64::from(sh.idx), 0);
+            sh.dump_flight();
+        }
+    }
+    AuditSummary {
+        complete: quiesced,
+        ok,
+        slots: shards.iter().map(|s| s.applied_through).sum(),
+        committed: shards.iter().map(|s| s.committed_commands).sum(),
+        dedup_hits: shards.iter().map(|s| s.dedup_hits).sum(),
+        fast_reads: shards.iter().map(|s| s.reads_lease + s.reads_quorum).sum(),
+        lease_epoch: shards[0].lease_epoch,
+        shards: shard_count,
+    }
+}
+
 /// The driver thread: the shard-multiplexing event loop described in the
 /// module docs.
 #[allow(clippy::too_many_lines)]
@@ -1768,19 +1815,19 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
     let spec =
         InstanceSpec { crashes: vec![None; n], delays: cfg.delays, max_rounds: cfg.max_rounds };
 
-    let mut conns: HashMap<ConnId, Sender<Outbound>> = HashMap::new();
     let mut shards: Vec<ShardState> =
         (0..shard_count).map(|i| ShardState::recover(i, cfg)).collect();
     let mut routes: HashMap<u64, InstanceRoute> = HashMap::new();
 
-    let read_path = cfg.reads;
-    let mut shutting_down = false;
-    let mut died = false;
+    let mut st = Intake {
+        conns: HashMap::new(),
+        control: Vec::new(),
+        router,
+        read_path: cfg.reads,
+        shutting_down: false,
+        died: false,
+    };
     let mut last_progress = Instant::now();
-    let mut sync_reqs: Vec<(ConnId, u32)> = Vec::new();
-    let mut audit_reqs: Vec<ConnId> = Vec::new();
-    let mut lease_reqs: Vec<(ConnId, u32)> = Vec::new();
-    let mut stats_reqs: Vec<(ConnId, u32)> = Vec::new();
     engine_metrics();
 
     // The event loop runs under catch_unwind so a panic (the stall
@@ -1788,35 +1835,17 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
     // on disk before propagating — the black box outlives the crash.
     let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
         // 1. Drain intake, routing each submit to its key's shard.
-        loop {
-            match intake.try_recv() {
-                Ok(EngineMsg::Register { conn, tx }) => {
-                    conns.insert(conn, tx);
-                }
-                Ok(EngineMsg::Deregister { conn }) => {
-                    conns.remove(&conn);
-                }
-                Ok(EngineMsg::Submit { conn, request }) => {
-                    let si = router.shard_of(request.op.key()) as usize;
-                    let _ = shards[si].submit(&conns, conn, request, read_path);
-                }
-                Ok(EngineMsg::Sync { conn, shard }) => sync_reqs.push((conn, shard)),
-                Ok(EngineMsg::Audit { conn }) => audit_reqs.push(conn),
-                Ok(EngineMsg::LeaseState { conn, shard }) => lease_reqs.push((conn, shard)),
-                Ok(EngineMsg::Stats { conn, shard }) => stats_reqs.push((conn, shard)),
-                Ok(EngineMsg::Shutdown) => shutting_down = true,
-                Ok(EngineMsg::Die) => died = true,
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-            }
+        while let Ok(msg) = intake.try_recv() {
+            st.take(msg, &mut shards);
         }
-        if died {
+        if st.died {
             break;
         }
 
         // 2 + 3. Per shard: seal lingering batches, then propose into
         // the shard's pipeline window on the shared session.
         for (si, sh) in shards.iter_mut().enumerate() {
-            sh.seal_lingering(cfg.linger, shutting_down);
+            sh.seal_lingering(cfg.linger, st.shutting_down);
             while sh.in_flight() < cfg.pipeline_depth {
                 let Some(batch) = sh.ready.pop_front() else { break };
                 let instance = session.start_instance_recycled(&vec![batch.as_value(); n], &spec);
@@ -1843,62 +1872,20 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
         // 5 + 5a. Per shard: apply decided slots, then run the read
         // ladder at the new frontier.
         for sh in &mut shards {
-            sh.apply_decided(&conns);
+            sh.apply_decided(&st.conns);
             sh.lease_upkeep();
-            sh.serve_reads(&conns, cfg.system.quorum(), read_path);
+            sh.serve_reads(&st.conns, cfg.system.quorum(), st.read_path);
         }
 
-        // 5b. Serve state transfers, lease probes, and audits against
-        // the just-applied state. Requests naming an unknown shard are
-        // dropped.
-        for (conn, shard) in sync_reqs.drain(..) {
-            let Some(tx) = conns.get(&conn) else { continue };
-            let Some(sh) = shards.get(shard as usize) else { continue };
-            sh.serve_sync(tx);
-        }
-        for (conn, shard) in lease_reqs.drain(..) {
-            let Some(tx) = conns.get(&conn) else { continue };
-            let Some(sh) = shards.get(shard as usize) else { continue };
-            let status = sh.lease_status(shard_count, read_path.as_wire());
-            let _ = tx.send(Outbound::Control(status.encode()));
-        }
-        for (conn, shard) in stats_reqs.drain(..) {
-            let Some(tx) = conns.get(&conn) else { continue };
-            let Some(sh) = shards.get(shard as usize) else { continue };
-            let report = sh.stats_report(shard_count);
-            let _ = tx.send(Outbound::Control(report.encode()));
-        }
-        for conn in audit_reqs.drain(..) {
-            let Some(tx) = conns.get(&conn) else { continue };
-            let quiesced = shards.iter().all(|s| s.quiesced(n as u64));
-            let ok = quiesced && {
-                let audit =
-                    ShardedAudit { shards: shards.iter().map(|s| s.audit(cfg.system)).collect() };
-                audit.check().is_ok()
-            };
-            if quiesced && !ok {
-                // A failed replay audit ships every shard's black box:
-                // the recording is the context the violation lacks.
-                for sh in &shards {
-                    sh.flight.record(FlightKind::AuditViolation, u64::from(sh.idx), 0);
-                    sh.dump_flight();
-                }
+        // 5b. Answer control requests against the just-applied state.
+        for (conn, req) in st.control.drain(..) {
+            if let Some(tx) = st.conns.get(&conn) {
+                answer_control(req, tx, &shards, cfg);
             }
-            let summary = AuditSummary {
-                complete: quiesced,
-                ok,
-                slots: shards.iter().map(|s| s.applied_through).sum(),
-                committed: shards.iter().map(|s| s.committed_commands).sum(),
-                dedup_hits: shards.iter().map(|s| s.dedup_hits).sum(),
-                fast_reads: shards.iter().map(|s| s.reads_lease + s.reads_quorum).sum(),
-                lease_epoch: shards[0].lease_epoch,
-                shards: shard_count,
-            };
-            let _ = tx.send(Outbound::Control(summary.encode()));
         }
 
         // 6. Exit once shutdown has drained every shard.
-        if shutting_down && shards.iter().all(|s| s.quiesced(n as u64)) {
+        if st.shutting_down && shards.iter().all(|s| s.quiesced(n as u64)) {
             break;
         }
 
@@ -1918,35 +1905,16 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
                 last_progress = Instant::now();
                 absorb_result(&mut shards, &mut routes, n, &r);
             }
-        } else if !shutting_down {
+        } else if !st.shutting_down {
             let nap = if shards.iter().any(|s| s.frontend.open_len() > 0) {
                 cfg.linger.min(Duration::from_millis(1))
             } else {
                 Duration::from_millis(2)
             };
-            match intake.recv_timeout(nap) {
-                Ok(EngineMsg::Register { conn, tx }) => {
-                    conns.insert(conn, tx);
-                }
-                Ok(EngineMsg::Deregister { conn }) => {
-                    conns.remove(&conn);
-                }
-                Ok(EngineMsg::Submit { conn, request }) => {
-                    let si = router.shard_of(request.op.key()) as usize;
-                    let _ = shards[si].submit(&conns, conn, request, read_path);
-                }
-                // Control requests defer to the next iteration's batched
-                // handling (the request vecs outlive the iteration).
-                Ok(EngineMsg::Sync { conn, shard }) => sync_reqs.push((conn, shard)),
-                Ok(EngineMsg::Audit { conn }) => audit_reqs.push(conn),
-                Ok(EngineMsg::LeaseState { conn, shard }) => lease_reqs.push((conn, shard)),
-                Ok(EngineMsg::Stats { conn, shard }) => stats_reqs.push((conn, shard)),
-                Ok(EngineMsg::Shutdown) => shutting_down = true,
-                Ok(EngineMsg::Die) => died = true,
-                Err(_) => {}
-            }
-            if died {
-                break;
+            // Whatever wakes us is handled here; a Die ends the loop at
+            // the top of the next iteration.
+            if let Ok(msg) = intake.recv_timeout(nap) {
+                st.take(msg, &mut shards);
             }
         }
     }));
@@ -1961,7 +1929,7 @@ fn drive(cfg: &EngineConfig, intake: &Receiver<EngineMsg>) -> ShardedAudit {
     // A clean shutdown checkpoints every shard so a restart recovers
     // from the snapshots alone; a Die exits with whatever each shard's
     // last fsync holds.
-    if !died {
+    if !st.died {
         for sh in &mut shards {
             sh.final_checkpoint();
         }

@@ -18,12 +18,17 @@
 //!
 //! 1. **lease read** — lease healthy: answer from the applied store;
 //! 2. **quorum read** — lease unhealthy: probe the replicas
-//!    ([`LeaseFrame::Attest`]); a quorum of [`LeaseFrame::Vouch`]es that
+//!    ([`LeaseRequest::Attest`]); a quorum of [`LeaseReply::Vouch`]es that
 //!    the lease epoch is still their newest promise re-certifies
 //!    freshness for this one read;
 //! 3. **sequenced read** — no quorum vouches: the read falls back into
 //!    the log and occupies a slot, exactly the pre-lease behavior (and
 //!    the `--reads log` escape hatch pins every read here).
+//!
+//! The replicas are agents inside the engine's own process, so the
+//! messages between holder and agents are plain values: a
+//! [`LeaseRequest`] goes in, a [`LeaseReply`] comes back, and no byte
+//! format exists for either.
 //!
 //! # Epochs and crash recovery
 //!
@@ -48,7 +53,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::proto::{LeaseFrame, ProtoError};
 use crate::wal::crc32;
 
 /// How the engine answers `Get`s (the `--reads` flag).
@@ -159,6 +163,55 @@ fn lease_metrics() -> &'static LeaseMetrics {
     &LEASE_METRICS
 }
 
+/// A holder-to-replica lease message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeaseRequest {
+    /// Grant (or renew) the holder's lease.
+    Acquire {
+        /// The requesting leader incarnation.
+        holder: u64,
+        /// The lease epoch being acquired.
+        epoch: u64,
+        /// Lease duration, measured from the grant.
+        ttl: Duration,
+    },
+    /// Quorum-read probe: is `(holder, epoch)` still your newest promise?
+    Attest {
+        /// The probing leader incarnation.
+        holder: u64,
+        /// The epoch being attested.
+        epoch: u64,
+    },
+}
+
+/// A replica's answer to a [`LeaseRequest`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeaseReply {
+    /// The replica granted the lease for the request's TTL.
+    Grant {
+        /// The granting replica.
+        replica: u32,
+        /// The epoch granted (echoed).
+        epoch: u64,
+    },
+    /// The replica refused: it already promised a newer lease.
+    Deny {
+        /// The refusing replica.
+        replica: u32,
+        /// The newest epoch the replica has promised.
+        promised: u64,
+    },
+    /// The answer to [`LeaseRequest::Attest`].
+    Vouch {
+        /// The vouching replica.
+        replica: u32,
+        /// The epoch attested (echoed).
+        epoch: u64,
+        /// Whether the lease is still the replica's newest promise.
+        valid: bool,
+    },
+}
+
 /// A replica's half of the lease protocol: the newest promise it has
 /// made, and the refusal of anything older.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,33 +232,25 @@ impl ReplicaLeaseAgent {
         ReplicaLeaseAgent { replica, promised: 0, holder: 0, expires_at: None }
     }
 
-    /// The newest epoch this replica has promised.
-    #[must_use]
-    pub fn promised(&self) -> u64 {
-        self.promised
-    }
-
-    /// Handles one holder-to-replica lease frame, returning the encoded
-    /// reply. Reply frames (`Grant`/`Deny`/`Vouch`) addressed *to* an
-    /// agent are a protocol error.
-    pub fn handle(&mut self, frame: &LeaseFrame, now: Instant) -> Result<Vec<u8>, ProtoError> {
-        match *frame {
-            LeaseFrame::Acquire { holder, epoch, ttl_micros } => {
+    /// Answers one holder-to-replica lease message.
+    pub fn handle(&mut self, request: LeaseRequest, now: Instant) -> LeaseReply {
+        match request {
+            LeaseRequest::Acquire { holder, epoch, ttl } => {
                 // Grant a newer epoch, or renew the exact lease already
                 // held; anything older is refused with the promise that
                 // outbid it.
                 if epoch > self.promised || (epoch == self.promised && holder == self.holder) {
                     self.promised = epoch;
                     self.holder = holder;
-                    self.expires_at = Some(now + Duration::from_micros(ttl_micros));
+                    self.expires_at = Some(now + ttl);
                     lease_metrics().grants.incr();
-                    Ok(LeaseFrame::Grant { replica: self.replica, epoch }.encode())
+                    LeaseReply::Grant { replica: self.replica, epoch }
                 } else {
                     lease_metrics().denials.incr();
-                    Ok(LeaseFrame::Deny { replica: self.replica, promised: self.promised }.encode())
+                    LeaseReply::Deny { replica: self.replica, promised: self.promised }
                 }
             }
-            LeaseFrame::Attest { holder, epoch } => {
+            LeaseRequest::Attest { holder, epoch } => {
                 let valid = self.promised == epoch && self.holder == holder;
                 let m = lease_metrics();
                 if valid {
@@ -213,10 +258,7 @@ impl ReplicaLeaseAgent {
                 } else {
                     m.vouches_invalid.incr();
                 }
-                Ok(LeaseFrame::Vouch { replica: self.replica, epoch, valid }.encode())
-            }
-            LeaseFrame::Grant { .. } | LeaseFrame::Deny { .. } | LeaseFrame::Vouch { .. } => {
-                Err(ProtoError::BadTag(frame.encode()[0]))
+                LeaseReply::Vouch { replica: self.replica, epoch, valid }
             }
         }
     }
@@ -242,40 +284,24 @@ impl LeaderLease {
         LeaderLease { epoch, holder, config, grants: vec![None; n], quorum, last_acquire: None }
     }
 
-    /// The epoch this incarnation serves under.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The holder incarnation id.
-    #[must_use]
-    pub fn holder(&self) -> u64 {
-        self.holder
-    }
-
-    /// One encoded [`LeaseFrame::Acquire`] per replica, recording `now`
-    /// as the conservative grant base for every reply that comes back.
-    pub fn acquire_frames(&mut self, now: Instant) -> Vec<Vec<u8>> {
+    /// The [`LeaseRequest::Acquire`] to send every replica, recording
+    /// `now` as the conservative grant base for every reply that comes
+    /// back.
+    pub fn acquire(&mut self, now: Instant) -> LeaseRequest {
         self.last_acquire = Some(now);
-        let frame = LeaseFrame::Acquire {
-            holder: self.holder,
-            epoch: self.epoch,
-            ttl_micros: u64::try_from(self.config.ttl.as_micros()).unwrap_or(u64::MAX),
-        };
-        (0..self.grants.len()).map(|_| frame.encode()).collect()
+        LeaseRequest::Acquire { holder: self.holder, epoch: self.epoch, ttl: self.config.ttl }
     }
 
     /// Absorbs one replica reply to the latest acquire round.
-    pub fn absorb(&mut self, frame: &LeaseFrame) {
-        match *frame {
-            LeaseFrame::Grant { replica, epoch } if epoch == self.epoch => {
+    pub fn absorb(&mut self, reply: LeaseReply) {
+        match reply {
+            LeaseReply::Grant { replica, epoch } if epoch == self.epoch => {
                 let Some(sent) = self.last_acquire else { return };
                 if let Some(g) = self.grants.get_mut(replica as usize) {
                     *g = Some(sent + self.config.ttl);
                 }
             }
-            LeaseFrame::Deny { replica, .. } => {
+            LeaseReply::Deny { replica, .. } => {
                 if let Some(g) = self.grants.get_mut(replica as usize) {
                     *g = None;
                 }
@@ -319,12 +345,11 @@ impl LeaderLease {
         }
     }
 
-    /// One encoded [`LeaseFrame::Attest`] per replica — the quorum-read
-    /// freshness probe.
+    /// The [`LeaseRequest::Attest`] to send every replica — the
+    /// quorum-read freshness probe.
     #[must_use]
-    pub fn attest_frames(&self) -> Vec<Vec<u8>> {
-        let frame = LeaseFrame::Attest { holder: self.holder, epoch: self.epoch };
-        (0..self.grants.len()).map(|_| frame.encode()).collect()
+    pub fn attest(&self) -> LeaseRequest {
+        LeaseRequest::Attest { holder: self.holder, epoch: self.epoch }
     }
 }
 
@@ -398,15 +423,14 @@ mod tests {
         agents: &mut [ReplicaLeaseAgent],
         now: Instant,
     ) -> usize {
-        let frames = lease.acquire_frames(now);
+        let acquire = lease.acquire(now);
         let mut granted = 0;
-        for (agent, frame) in agents.iter_mut().zip(&frames) {
-            let reply = agent.handle(&LeaseFrame::decode(frame).unwrap(), now).unwrap();
-            let reply = LeaseFrame::decode(&reply).unwrap();
-            if matches!(reply, LeaseFrame::Grant { .. }) {
+        for agent in agents.iter_mut() {
+            let reply = agent.handle(acquire, now);
+            if matches!(reply, LeaseReply::Grant { .. }) {
                 granted += 1;
             }
-            lease.absorb(&reply);
+            lease.absorb(reply);
         }
         granted
     }
@@ -447,36 +471,26 @@ mod tests {
     fn same_epoch_renewal_extends_only_for_the_holder() {
         let mut agent = ReplicaLeaseAgent::new(0);
         let t0 = Instant::now();
-        let grant = agent
-            .handle(&LeaseFrame::Acquire { holder: 10, epoch: 1, ttl_micros: 50_000 }, t0)
-            .unwrap();
-        assert!(matches!(LeaseFrame::decode(&grant).unwrap(), LeaseFrame::Grant { .. }));
+        let acquire =
+            |holder| LeaseRequest::Acquire { holder, epoch: 1, ttl: Duration::from_millis(50) };
+        assert_eq!(agent.handle(acquire(10), t0), LeaseReply::Grant { replica: 0, epoch: 1 });
         // Same epoch, same holder: renewal granted.
-        let renew = agent
-            .handle(&LeaseFrame::Acquire { holder: 10, epoch: 1, ttl_micros: 50_000 }, t0)
-            .unwrap();
-        assert!(matches!(LeaseFrame::decode(&renew).unwrap(), LeaseFrame::Grant { .. }));
+        assert_eq!(agent.handle(acquire(10), t0), LeaseReply::Grant { replica: 0, epoch: 1 });
         // Same epoch, different holder: denied.
-        let steal = agent
-            .handle(&LeaseFrame::Acquire { holder: 11, epoch: 1, ttl_micros: 50_000 }, t0)
-            .unwrap();
-        assert!(matches!(
-            LeaseFrame::decode(&steal).unwrap(),
-            LeaseFrame::Deny { promised: 1, .. }
-        ));
+        assert_eq!(agent.handle(acquire(11), t0), LeaseReply::Deny { replica: 0, promised: 1 });
     }
 
     #[test]
     fn attest_vouches_only_for_the_current_promise() {
         let mut agent = ReplicaLeaseAgent::new(3);
         let t0 = Instant::now();
-        agent.handle(&LeaseFrame::Acquire { holder: 10, epoch: 2, ttl_micros: 1_000 }, t0).unwrap();
-        let vouch = |agent: &mut ReplicaLeaseAgent, holder, epoch| {
-            let reply = agent.handle(&LeaseFrame::Attest { holder, epoch }, t0).unwrap();
-            match LeaseFrame::decode(&reply).unwrap() {
-                LeaseFrame::Vouch { valid, .. } => valid,
-                f => panic!("expected vouch, got {f:?}"),
-            }
+        let ttl = Duration::from_millis(1);
+        agent.handle(LeaseRequest::Acquire { holder: 10, epoch: 2, ttl }, t0);
+        let vouch = |agent: &mut ReplicaLeaseAgent, holder, epoch| match agent
+            .handle(LeaseRequest::Attest { holder, epoch }, t0)
+        {
+            LeaseReply::Vouch { replica: 3, epoch: echoed, valid } if echoed == epoch => valid,
+            reply => panic!("expected a vouch, got {reply:?}"),
         };
         assert!(vouch(&mut agent, 10, 2));
         assert!(!vouch(&mut agent, 10, 1), "stale epoch must not be vouched");
@@ -484,16 +498,14 @@ mod tests {
     }
 
     #[test]
-    fn reply_frames_to_an_agent_are_rejected() {
-        let mut agent = ReplicaLeaseAgent::new(0);
-        let t0 = Instant::now();
-        for frame in [
-            LeaseFrame::Grant { replica: 1, epoch: 1 },
-            LeaseFrame::Deny { replica: 1, promised: 1 },
-            LeaseFrame::Vouch { replica: 1, epoch: 1, valid: true },
-        ] {
-            assert!(agent.handle(&frame, t0).is_err());
-        }
+    fn attest_probes_name_the_holder_and_epoch() {
+        let config = LeaseConfig::default();
+        let mut l = lease(4, 10, config);
+        assert_eq!(l.attest(), LeaseRequest::Attest { holder: 10, epoch: 4 });
+        assert_eq!(
+            l.acquire(Instant::now()),
+            LeaseRequest::Acquire { holder: 10, epoch: 4, ttl: config.ttl }
+        );
     }
 
     #[test]
@@ -504,7 +516,7 @@ mod tests {
         let mut l = lease(1, 10, config);
         let t0 = Instant::now();
         assert!(l.renew_due(t0), "never acquired: due immediately");
-        let _ = l.acquire_frames(t0);
+        let _ = l.acquire(t0);
         assert!(!l.renew_due(t0 + Duration::from_millis(10)));
         assert!(l.renew_due(t0 + Duration::from_millis(25)));
     }

@@ -10,10 +10,12 @@
 //! * [`wire`] — the vendored length-framed codec. 4-byte little-endian
 //!   length header, [`MAX_FRAME`](wire::MAX_FRAME) bound enforced before
 //!   buffering, chunking-independent incremental decoding.
-//! * [`proto`] — the request/response vocabulary. Requests carry the
+//! * [`proto`] — the wire vocabulary. Requests carry the
 //!   `(ClientId, RequestId)` exactly-once key; responses carry the
 //!   `(shard, slot)` linearization point: the shard group that sequenced
-//!   the command and the slot it occupies in that shard's log.
+//!   the command and the slot it occupies in that shard's log. Operator
+//!   queries are one [`ControlRequest`](proto::ControlRequest) enum —
+//!   sync, audit, lease state, stats — with one reply frame type each.
 //! * [`shard`] — keyspace partitioning: the fixed [`ShardRouter`] hash
 //!   mapping every key to one of `S` independent shard groups, the
 //!   fsynced `shards.manifest` refusing boots against a mismatched disk
@@ -39,10 +41,18 @@
 //!   index* without occupying a log slot, falling down the ladder
 //!   (lease read → quorum read → sequenced read) when the lease is
 //!   suspect. Lease epochs are burned to disk before serving, so a
-//!   `kill -9`'d leader can never fast-read under its old epoch.
+//!   `kill -9`'d leader can never fast-read under its old epoch. The
+//!   replica agents live in the engine's process: lease requests and
+//!   replies are typed values with no byte format.
 //! * [`server`] — the TCP front door bridging sockets to the engine.
-//!   Besides requests it answers stats scrapes: a
-//!   [`remote_stats`](service::remote_stats) request returns a
+//!   Each connection's reader decodes a frame as a request or else as a
+//!   control query, and hands either to the engine's intake; the
+//!   engine answers queries after its next apply, through one handler.
+//!   The four client calls ([`sync_from_peer`](service::sync_from_peer),
+//!   [`remote_audit`](service::remote_audit),
+//!   [`remote_lease_state`](service::remote_lease_state),
+//!   [`remote_stats`](service::remote_stats)) share one connect/read
+//!   helper. A [`remote_stats`](service::remote_stats) query returns a
 //!   [`StatsReport`](proto::StatsReport) — per-shard pipeline-stage
 //!   latency histograms (submit→seal, seal→decide, decide→apply,
 //!   apply→ack, WAL fsync, queue depth) recorded by the zero-allocation
@@ -111,8 +121,8 @@ pub use lease::{
     fresh_holder, load_epoch, store_epoch, LeaderLease, LeaseConfig, ReadPath, ReplicaLeaseAgent,
 };
 pub use proto::{
-    stats_request_frame, stats_request_shard, AuditSummary, KvOp, LeaseFrame, LeaseStatus, Outcome,
-    ProtoError, Request, Response, StatsReport, SyncFrame, TAG_STATS, TAG_STATS_REQUEST,
+    AuditSummary, ControlRequest, KvOp, LeaseStatus, Outcome, ProtoError, Request, Response,
+    StatsReport, SyncFrame,
 };
 pub use server::KvServer;
 pub use service::{

@@ -14,10 +14,23 @@
 //! order was respected *per shard* — on one connection, ack slots for a
 //! given shard never decrease.
 //!
-//! Serialization is a fixed-layout little-endian byte format written by
-//! hand: the messages are a handful of integers, and the vendored serde
-//! facade intentionally has no byte format, so the service owns its wire
-//! surface end to end (matching [`crate::wire`]'s vendored framing).
+//! Beside the data path, a client may send one [`ControlRequest`] — an
+//! operator query — per frame:
+//!
+//! * `Sync` (tag `0x03`) streams one shard's durable state back as
+//!   [`SyncFrame`]s (`0x04` chunk, `0x05` record, `0x06` done);
+//! * `Audit` (`0x07`) is answered by an [`AuditSummary`] (`0x08`);
+//! * `LeaseState` (`0x0e`) by a [`LeaseStatus`] (`0x0f`);
+//! * `Stats` (`0x10`) by a [`StatsReport`] (`0x11`).
+//!
+//! Tags `0x09`–`0x0d` are unused: the leader-lease messages never leave
+//! the process, and travel between the engine and its replica agents as
+//! typed values (see [`crate::lease`]). A server drops a connection that
+//! sends any unknown tag.
+//!
+//! Every message is a fixed-layout little-endian byte format written by
+//! hand and read back through one helper that checks the tag and
+//! rejects trailing bytes for every decoder.
 
 use std::fmt;
 
@@ -163,39 +176,18 @@ pub struct Response {
 }
 
 /// Frame tag of a client [`Request`].
-pub const TAG_REQUEST: u8 = 0x01;
-/// Frame tag of a service [`Response`].
-pub const TAG_RESPONSE: u8 = 0x02;
-/// Frame tag of a rejoin [`SyncFrame::Request`].
-pub const TAG_SYNC_REQUEST: u8 = 0x03;
-/// Frame tag of a [`SyncFrame::SnapshotChunk`].
-pub const TAG_SYNC_SNAPSHOT: u8 = 0x04;
-/// Frame tag of a [`SyncFrame::Record`] catch-up record.
-pub const TAG_SYNC_RECORD: u8 = 0x05;
-/// Frame tag of [`SyncFrame::Done`].
-pub const TAG_SYNC_DONE: u8 = 0x06;
-/// Frame tag of an audit request (tag-only message).
-pub const TAG_AUDIT_REQUEST: u8 = 0x07;
-/// Frame tag of an [`AuditSummary`] reply.
-pub const TAG_AUDIT_REPLY: u8 = 0x08;
-/// Frame tag of a [`LeaseFrame::Acquire`] grant/renew request.
-pub const TAG_LEASE_ACQUIRE: u8 = 0x09;
-/// Frame tag of a [`LeaseFrame::Grant`].
-pub const TAG_LEASE_GRANT: u8 = 0x0a;
-/// Frame tag of a [`LeaseFrame::Deny`].
-pub const TAG_LEASE_DENY: u8 = 0x0b;
-/// Frame tag of a [`LeaseFrame::Attest`] quorum-read probe.
-pub const TAG_LEASE_ATTEST: u8 = 0x0c;
-/// Frame tag of a [`LeaseFrame::Vouch`].
-pub const TAG_LEASE_VOUCH: u8 = 0x0d;
-/// Frame tag of a lease-state request (tag-only message).
-pub const TAG_LEASE_STATE_REQUEST: u8 = 0x0e;
-/// Frame tag of a [`LeaseStatus`] reply.
-pub const TAG_LEASE_STATE: u8 = 0x0f;
-/// Frame tag of a metrics-scrape request addressed to one shard group.
-pub const TAG_STATS_REQUEST: u8 = 0x10;
-/// Frame tag of a [`StatsReport`] reply.
-pub const TAG_STATS: u8 = 0x11;
+pub(crate) const TAG_REQUEST: u8 = 0x01;
+const TAG_RESPONSE: u8 = 0x02;
+const TAG_SYNC_REQUEST: u8 = 0x03;
+const TAG_SYNC_SNAPSHOT: u8 = 0x04;
+const TAG_SYNC_RECORD: u8 = 0x05;
+const TAG_SYNC_DONE: u8 = 0x06;
+const TAG_AUDIT_REQUEST: u8 = 0x07;
+const TAG_AUDIT_REPLY: u8 = 0x08;
+const TAG_LEASE_STATE_REQUEST: u8 = 0x0e;
+const TAG_LEASE_STATE: u8 = 0x0f;
+const TAG_STATS_REQUEST: u8 = 0x10;
+const TAG_STATS: u8 = 0x11;
 const OP_PUT: u8 = 0x01;
 const OP_GET: u8 = 0x02;
 const OP_READ: u8 = 0x03;
@@ -256,44 +248,132 @@ impl Cursor<'_> {
         Ok(head.try_into().expect("split at N"))
     }
 
-    fn bytes(&mut self, n: usize) -> Result<Vec<u8>, ProtoError> {
-        if self.0.len() < n {
-            return Err(ProtoError::Truncated);
-        }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Ok(head.to_vec())
+    /// The rest of the message.
+    fn rest(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.0).to_vec()
     }
 
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.0.is_empty() {
-            Ok(())
-        } else {
-            Err(ProtoError::TrailingBytes)
+    /// An optional value: a presence byte, then the value if present.
+    fn value(&mut self) -> Result<Option<u32>, ProtoError> {
+        match self.u8()? {
+            VAL_NONE => Ok(None),
+            VAL_SOME => Ok(Some(self.u32()?)),
+            t => Err(ProtoError::BadTag(t)),
         }
     }
 }
 
-/// The rejoin sync protocol, riding the same framed transport as the
-/// request/response traffic.
-///
-/// A rejoining replica opens an ordinary connection and sends
-/// [`SyncFrame::Request`]; the server streams its last checkpoint
-/// (chunked under the [`crate::wire::MAX_FRAME`] bound), then every
-/// retained WAL record past the checkpoint, then [`SyncFrame::Done`].
-/// The receiver persists exactly what a local checkpoint + WAL would
-/// hold and boots through the normal disk-recovery path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SyncFrame {
-    /// Ask for a state transfer of one shard group (`from_slot` is the
-    /// requester's durable applied-through, advisory). A full rejoin
-    /// issues one request per shard.
-    Request {
-        /// The requester's own durable applied-through slot.
+/// Writes an optional value the way [`Cursor::value`] reads it.
+fn put_value(out: &mut Vec<u8>, value: Option<u32>) {
+    match value {
+        Some(v) => {
+            out.push(VAL_SOME);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        None => out.push(VAL_NONE),
+    }
+}
+
+/// Decodes one frame payload: reads the tag, lets `body` read the
+/// message it names (answering [`ProtoError::BadTag`] for a tag it does
+/// not know), and rejects trailing bytes.
+fn decode_frame<T>(
+    bytes: &[u8],
+    body: impl FnOnce(u8, &mut Cursor<'_>) -> Result<T, ProtoError>,
+) -> Result<T, ProtoError> {
+    let mut c = Cursor(bytes);
+    let tag = c.u8()?;
+    let message = body(tag, &mut c)?;
+    if c.0.is_empty() {
+        Ok(message)
+    } else {
+        Err(ProtoError::TrailingBytes)
+    }
+}
+
+/// An operator query. Each names the shard group it asks about, except
+/// the audit, which covers them all; the engine answers on the asking
+/// connection after its next apply, and drops a query naming a shard it
+/// does not run (no reply).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ControlRequest {
+    /// Stream one shard's checkpoint + WAL as [`SyncFrame`]s — the
+    /// per-shard rejoin transfer. A full rejoin sends one per shard.
+    Sync {
+        /// The requester's own durable applied-through slot (advisory).
         from_slot: u64,
         /// The shard group whose checkpoint + WAL is wanted.
         shard: u32,
     },
+    /// Run the replay audit over every shard; answered by an
+    /// [`AuditSummary`].
+    Audit,
+    /// Dump one shard's lease and read-path state; answered by a
+    /// [`LeaseStatus`].
+    LeaseState {
+        /// The shard asked about.
+        shard: u32,
+    },
+    /// Scrape one shard's metrics; answered by a [`StatsReport`].
+    Stats {
+        /// The shard asked about.
+        shard: u32,
+    },
+}
+
+impl ControlRequest {
+    /// Encodes the frame payload.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(13);
+        match *self {
+            ControlRequest::Sync { from_slot, shard } => {
+                out.push(TAG_SYNC_REQUEST);
+                out.extend_from_slice(&from_slot.to_le_bytes());
+                out.extend_from_slice(&shard.to_le_bytes());
+            }
+            ControlRequest::Audit => out.push(TAG_AUDIT_REQUEST),
+            ControlRequest::LeaseState { shard } => {
+                out.push(TAG_LEASE_STATE_REQUEST);
+                out.extend_from_slice(&shard.to_le_bytes());
+            }
+            ControlRequest::Stats { shard } => {
+                out.push(TAG_STATS_REQUEST);
+                out.extend_from_slice(&shard.to_le_bytes());
+            }
+        }
+        out
+    }
+
+    /// Decodes one frame payload. The tag-only lease-state request that
+    /// predates sharding reads as shard 0.
+    pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
+        decode_frame(bytes, |tag, c| {
+            Ok(match tag {
+                TAG_SYNC_REQUEST => ControlRequest::Sync { from_slot: c.u64()?, shard: c.u32()? },
+                TAG_AUDIT_REQUEST => ControlRequest::Audit,
+                TAG_LEASE_STATE_REQUEST if c.0.is_empty() => {
+                    ControlRequest::LeaseState { shard: 0 }
+                }
+                TAG_LEASE_STATE_REQUEST => ControlRequest::LeaseState { shard: c.u32()? },
+                TAG_STATS_REQUEST => ControlRequest::Stats { shard: c.u32()? },
+                t => return Err(ProtoError::BadTag(t)),
+            })
+        })
+    }
+}
+
+/// The rejoin transfer's reply stream, answering a
+/// [`ControlRequest::Sync`] on the same framed transport as the
+/// request/response traffic.
+///
+/// The server streams its last checkpoint (chunked under the
+/// [`crate::wire::MAX_FRAME`] bound), then every retained WAL record
+/// past the checkpoint, then [`SyncFrame::Done`]. The receiver persists
+/// exactly what a local checkpoint + WAL would hold and boots through
+/// the normal disk-recovery path.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SyncFrame {
     /// One chunk of the framed snapshot bytes, `index` of `total`.
     SnapshotChunk {
         /// 0-based chunk index.
@@ -320,13 +400,6 @@ impl SyncFrame {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            SyncFrame::Request { from_slot, shard } => {
-                let mut out = Vec::with_capacity(13);
-                out.push(TAG_SYNC_REQUEST);
-                out.extend_from_slice(&from_slot.to_le_bytes());
-                out.extend_from_slice(&shard.to_le_bytes());
-                out
-            }
             SyncFrame::SnapshotChunk { index, total, bytes } => {
                 let mut out = Vec::with_capacity(9 + bytes.len());
                 out.push(TAG_SYNC_SNAPSHOT);
@@ -352,28 +425,17 @@ impl SyncFrame {
 
     /// Decodes one frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        let frame = match c.u8()? {
-            TAG_SYNC_REQUEST => SyncFrame::Request { from_slot: c.u64()?, shard: c.u32()? },
-            TAG_SYNC_SNAPSHOT => {
-                let index = c.u32()?;
-                let total = c.u32()?;
-                let rest = c.bytes(c.0.len())?;
-                SyncFrame::SnapshotChunk { index, total, bytes: rest }
-            }
-            TAG_SYNC_RECORD => SyncFrame::Record { bytes: c.bytes(c.0.len())? },
-            TAG_SYNC_DONE => SyncFrame::Done { applied_through: c.u64()? },
-            t => return Err(ProtoError::BadTag(t)),
-        };
-        c.finish()?;
-        Ok(frame)
+        decode_frame(bytes, |tag, c| {
+            Ok(match tag {
+                TAG_SYNC_SNAPSHOT => {
+                    SyncFrame::SnapshotChunk { index: c.u32()?, total: c.u32()?, bytes: c.rest() }
+                }
+                TAG_SYNC_RECORD => SyncFrame::Record { bytes: c.rest() },
+                TAG_SYNC_DONE => SyncFrame::Done { applied_through: c.u64()? },
+                t => return Err(ProtoError::BadTag(t)),
+            })
+        })
     }
-}
-
-/// The tag-only audit request frame payload.
-#[must_use]
-pub fn audit_request_frame() -> Vec<u8> {
-    vec![TAG_AUDIT_REQUEST]
 }
 
 /// The engine's answer to an over-the-wire audit request.
@@ -424,164 +486,20 @@ impl AuditSummary {
 
     /// Decodes one frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        match c.u8()? {
-            TAG_AUDIT_REPLY => {}
-            t => return Err(ProtoError::BadTag(t)),
-        }
-        let complete = c.u8()? != 0;
-        let ok = c.u8()? != 0;
-        let slots = c.u64()?;
-        let committed = c.u64()?;
-        let dedup_hits = c.u64()?;
-        let fast_reads = c.u64()?;
-        let lease_epoch = c.u64()?;
-        let shards = c.u32()?;
-        c.finish()?;
-        Ok(AuditSummary {
-            complete,
-            ok,
-            slots,
-            committed,
-            dedup_hits,
-            fast_reads,
-            lease_epoch,
-            shards,
+        decode_frame(bytes, |tag, c| match tag {
+            TAG_AUDIT_REPLY => Ok(AuditSummary {
+                complete: c.u8()? != 0,
+                ok: c.u8()? != 0,
+                slots: c.u64()?,
+                committed: c.u64()?,
+                dedup_hits: c.u64()?,
+                fast_reads: c.u64()?,
+                lease_epoch: c.u64()?,
+                shards: c.u32()?,
+            }),
+            t => Err(ProtoError::BadTag(t)),
         })
     }
-}
-
-/// The leader-lease protocol frames (see [`crate::lease`]), riding the
-/// same framed transport as the request/response traffic.
-///
-/// `Acquire`/`Grant`/`Deny` establish and renew the lease; `Attest`/
-/// `Vouch` are the quorum-read fallback's freshness probe (a replica
-/// vouches that the named `(holder, epoch)` lease is still the newest
-/// promise it has made).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaseFrame {
-    /// The would-be leader asks a replica to grant (or renew) its lease.
-    Acquire {
-        /// The requesting leader incarnation.
-        holder: u64,
-        /// The lease epoch being acquired.
-        epoch: u64,
-        /// Lease duration in microseconds, measured from the grant.
-        ttl_micros: u64,
-    },
-    /// The replica granted the lease for the frame's TTL.
-    Grant {
-        /// The granting replica.
-        replica: u32,
-        /// The epoch granted (echoed).
-        epoch: u64,
-    },
-    /// The replica refused: it already promised a newer lease.
-    Deny {
-        /// The refusing replica.
-        replica: u32,
-        /// The newest epoch the replica has promised.
-        promised: u64,
-    },
-    /// Quorum-read probe: is `(holder, epoch)` still your newest promise?
-    Attest {
-        /// The probing leader incarnation.
-        holder: u64,
-        /// The epoch being attested.
-        epoch: u64,
-    },
-    /// Reply to [`LeaseFrame::Attest`].
-    Vouch {
-        /// The vouching replica.
-        replica: u32,
-        /// The epoch attested (echoed).
-        epoch: u64,
-        /// Whether the lease is still the replica's newest promise.
-        valid: bool,
-    },
-}
-
-impl LeaseFrame {
-    /// Encodes the frame payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(25);
-        match *self {
-            LeaseFrame::Acquire { holder, epoch, ttl_micros } => {
-                out.push(TAG_LEASE_ACQUIRE);
-                out.extend_from_slice(&holder.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.extend_from_slice(&ttl_micros.to_le_bytes());
-            }
-            LeaseFrame::Grant { replica, epoch } => {
-                out.push(TAG_LEASE_GRANT);
-                out.extend_from_slice(&replica.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-            }
-            LeaseFrame::Deny { replica, promised } => {
-                out.push(TAG_LEASE_DENY);
-                out.extend_from_slice(&replica.to_le_bytes());
-                out.extend_from_slice(&promised.to_le_bytes());
-            }
-            LeaseFrame::Attest { holder, epoch } => {
-                out.push(TAG_LEASE_ATTEST);
-                out.extend_from_slice(&holder.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-            }
-            LeaseFrame::Vouch { replica, epoch, valid } => {
-                out.push(TAG_LEASE_VOUCH);
-                out.extend_from_slice(&replica.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.push(u8::from(valid));
-            }
-        }
-        out
-    }
-
-    /// Decodes one frame payload.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        let frame = match c.u8()? {
-            TAG_LEASE_ACQUIRE => {
-                LeaseFrame::Acquire { holder: c.u64()?, epoch: c.u64()?, ttl_micros: c.u64()? }
-            }
-            TAG_LEASE_GRANT => LeaseFrame::Grant { replica: c.u32()?, epoch: c.u64()? },
-            TAG_LEASE_DENY => LeaseFrame::Deny { replica: c.u32()?, promised: c.u64()? },
-            TAG_LEASE_ATTEST => LeaseFrame::Attest { holder: c.u64()?, epoch: c.u64()? },
-            TAG_LEASE_VOUCH => {
-                LeaseFrame::Vouch { replica: c.u32()?, epoch: c.u64()?, valid: c.u8()? != 0 }
-            }
-            t => return Err(ProtoError::BadTag(t)),
-        };
-        c.finish()?;
-        Ok(frame)
-    }
-}
-
-/// The lease-state request frame payload, addressed to one shard group's
-/// lease agent.
-#[must_use]
-pub fn lease_state_request_frame(shard: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5);
-    out.push(TAG_LEASE_STATE_REQUEST);
-    out.extend_from_slice(&shard.to_le_bytes());
-    out
-}
-
-/// Parses the shard a lease-state request addresses. Lenient toward the
-/// pre-sharding tag-only frame, which reads as shard 0.
-pub fn lease_state_request_shard(bytes: &[u8]) -> Result<u32, ProtoError> {
-    let mut c = Cursor(bytes);
-    match c.u8()? {
-        TAG_LEASE_STATE_REQUEST => {}
-        t => return Err(ProtoError::BadTag(t)),
-    }
-    if c.0.is_empty() {
-        return Ok(0);
-    }
-    let shard = c.u32()?;
-    c.finish()?;
-    Ok(shard)
 }
 
 /// A point-in-time dump of the engine's lease and read-path state —
@@ -633,25 +551,21 @@ impl LeaseStatus {
 
     /// Decodes one frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        match c.u8()? {
-            TAG_LEASE_STATE => {}
-            t => return Err(ProtoError::BadTag(t)),
-        }
-        let status = LeaseStatus {
-            shard: c.u32()?,
-            shards: c.u32()?,
-            mode: c.u8()?,
-            epoch: c.u64()?,
-            healthy: c.u8()? != 0,
-            grants: c.u32()?,
-            read_index: c.u64()?,
-            reads_lease: c.u64()?,
-            reads_quorum: c.u64()?,
-            reads_sequenced: c.u64()?,
-        };
-        c.finish()?;
-        Ok(status)
+        decode_frame(bytes, |tag, c| match tag {
+            TAG_LEASE_STATE => Ok(LeaseStatus {
+                shard: c.u32()?,
+                shards: c.u32()?,
+                mode: c.u8()?,
+                epoch: c.u64()?,
+                healthy: c.u8()? != 0,
+                grants: c.u32()?,
+                read_index: c.u64()?,
+                reads_lease: c.u64()?,
+                reads_quorum: c.u64()?,
+                reads_sequenced: c.u64()?,
+            }),
+            t => Err(ProtoError::BadTag(t)),
+        })
     }
 }
 
@@ -677,28 +591,6 @@ impl fmt::Display for LeaseStatus {
             self.reads_sequenced
         )
     }
-}
-
-/// The metrics-scrape request frame payload, addressed to one shard
-/// group's engine.
-#[must_use]
-pub fn stats_request_frame(shard: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5);
-    out.push(TAG_STATS_REQUEST);
-    out.extend_from_slice(&shard.to_le_bytes());
-    out
-}
-
-/// Parses the shard a metrics-scrape request addresses.
-pub fn stats_request_shard(bytes: &[u8]) -> Result<u32, ProtoError> {
-    let mut c = Cursor(bytes);
-    match c.u8()? {
-        TAG_STATS_REQUEST => {}
-        t => return Err(ProtoError::BadTag(t)),
-    }
-    let shard = c.u32()?;
-    c.finish()?;
-    Ok(shard)
 }
 
 /// Writes a histogram snapshot: 64 bucket counts, then sum, then max
@@ -836,29 +728,25 @@ impl StatsReport {
 
     /// Decodes one frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        match c.u8()? {
-            TAG_STATS => {}
-            t => return Err(ProtoError::BadTag(t)),
-        }
-        let report = StatsReport {
-            shard: c.u32()?,
-            shards: c.u32()?,
-            slots: c.u64()?,
-            committed: c.u64()?,
-            dedup_hits: c.u64()?,
-            reads_lease: c.u64()?,
-            reads_quorum: c.u64()?,
-            reads_sequenced: c.u64()?,
-            submit_seal: decode_histogram(&mut c)?,
-            seal_decide: decode_histogram(&mut c)?,
-            decide_apply: decode_histogram(&mut c)?,
-            apply_ack: decode_histogram(&mut c)?,
-            wal_fsync: decode_histogram(&mut c)?,
-            seal_depth: decode_histogram(&mut c)?,
-        };
-        c.finish()?;
-        Ok(report)
+        decode_frame(bytes, |tag, c| match tag {
+            TAG_STATS => Ok(StatsReport {
+                shard: c.u32()?,
+                shards: c.u32()?,
+                slots: c.u64()?,
+                committed: c.u64()?,
+                dedup_hits: c.u64()?,
+                reads_lease: c.u64()?,
+                reads_quorum: c.u64()?,
+                reads_sequenced: c.u64()?,
+                submit_seal: decode_histogram(c)?,
+                seal_decide: decode_histogram(c)?,
+                decide_apply: decode_histogram(c)?,
+                apply_ack: decode_histogram(c)?,
+                wal_fsync: decode_histogram(c)?,
+                seal_depth: decode_histogram(c)?,
+            }),
+            t => Err(ProtoError::BadTag(t)),
+        })
     }
 }
 
@@ -909,20 +797,19 @@ impl Request {
 
     /// Decodes one frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        match c.u8()? {
-            TAG_REQUEST => {}
-            t => return Err(ProtoError::BadTag(t)),
-        }
-        let client = ClientId(c.u64()?);
-        let request = RequestId(c.u64()?);
-        let op = match c.u8()? {
-            OP_PUT => KvOp::Put { key: c.u16()?, value: c.u32()? },
-            OP_GET => KvOp::Get { key: c.u16()? },
-            t => return Err(ProtoError::BadTag(t)),
-        };
-        c.finish()?;
-        Ok(Request { client, request, op })
+        decode_frame(bytes, |tag, c| {
+            if tag != TAG_REQUEST {
+                return Err(ProtoError::BadTag(tag));
+            }
+            let client = ClientId(c.u64()?);
+            let request = RequestId(c.u64()?);
+            let op = match c.u8()? {
+                OP_PUT => KvOp::Put { key: c.u16()?, value: c.u32()? },
+                OP_GET => KvOp::Get { key: c.u16()? },
+                t => return Err(ProtoError::BadTag(t)),
+            };
+            Ok(Request { client, request, op })
+        })
     }
 }
 
@@ -942,24 +829,12 @@ impl Response {
             Outcome::Get { slot, value } => {
                 out.push(OP_GET);
                 out.extend_from_slice(&slot.to_le_bytes());
-                match value {
-                    Some(v) => {
-                        out.push(VAL_SOME);
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
-                    None => out.push(VAL_NONE),
-                }
+                put_value(&mut out, value);
             }
             Outcome::Read { index, value } => {
                 out.push(OP_READ);
                 out.extend_from_slice(&index.to_le_bytes());
-                match value {
-                    Some(v) => {
-                        out.push(VAL_SOME);
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
-                    None => out.push(VAL_NONE),
-                }
+                put_value(&mut out, value);
             }
         }
         out
@@ -967,37 +842,20 @@ impl Response {
 
     /// Decodes one frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor(bytes);
-        match c.u8()? {
-            TAG_RESPONSE => {}
-            t => return Err(ProtoError::BadTag(t)),
-        }
-        let request = RequestId(c.u64()?);
-        let shard = c.u32()?;
-        let outcome = match c.u8()? {
-            OP_PUT => Outcome::Put { slot: c.u64()? },
-            OP_GET => {
-                let slot = c.u64()?;
-                let value = match c.u8()? {
-                    VAL_NONE => None,
-                    VAL_SOME => Some(c.u32()?),
-                    t => return Err(ProtoError::BadTag(t)),
-                };
-                Outcome::Get { slot, value }
+        decode_frame(bytes, |tag, c| {
+            if tag != TAG_RESPONSE {
+                return Err(ProtoError::BadTag(tag));
             }
-            OP_READ => {
-                let index = c.u64()?;
-                let value = match c.u8()? {
-                    VAL_NONE => None,
-                    VAL_SOME => Some(c.u32()?),
-                    t => return Err(ProtoError::BadTag(t)),
-                };
-                Outcome::Read { index, value }
-            }
-            t => return Err(ProtoError::BadTag(t)),
-        };
-        c.finish()?;
-        Ok(Response { request, shard, outcome })
+            let request = RequestId(c.u64()?);
+            let shard = c.u32()?;
+            let outcome = match c.u8()? {
+                OP_PUT => Outcome::Put { slot: c.u64()? },
+                OP_GET => Outcome::Get { slot: c.u64()?, value: c.value()? },
+                OP_READ => Outcome::Read { index: c.u64()?, value: c.value()? },
+                t => return Err(ProtoError::BadTag(t)),
+            };
+            Ok(Response { request, shard, outcome })
+        })
     }
 }
 
@@ -1060,7 +918,6 @@ mod tests {
     #[test]
     fn sync_frames_round_trip() {
         for frame in [
-            SyncFrame::Request { from_slot: 17, shard: 3 },
             SyncFrame::SnapshotChunk { index: 2, total: 5, bytes: vec![1, 2, 3] },
             SyncFrame::SnapshotChunk { index: 0, total: 1, bytes: vec![] },
             SyncFrame::Record { bytes: vec![0xaa; 40] },
@@ -1069,6 +926,10 @@ mod tests {
             assert_eq!(SyncFrame::decode(&frame.encode()).unwrap(), frame);
         }
         assert_eq!(SyncFrame::decode(&[0x7f]), Err(ProtoError::BadTag(0x7f)));
+        // A sync *request* is a control request, not part of the stream.
+        let request = ControlRequest::Sync { from_slot: 17, shard: 3 };
+        assert_eq!(ControlRequest::decode(&request.encode()).unwrap(), request);
+        assert_eq!(SyncFrame::decode(&request.encode()), Err(ProtoError::BadTag(TAG_SYNC_REQUEST)));
     }
 
     #[test]
@@ -1084,23 +945,8 @@ mod tests {
             shards: 4,
         };
         assert_eq!(AuditSummary::decode(&s.encode()).unwrap(), s);
-        assert_eq!(audit_request_frame(), vec![TAG_AUDIT_REQUEST]);
-    }
-
-    #[test]
-    fn lease_frames_round_trip() {
-        for frame in [
-            LeaseFrame::Acquire { holder: u64::MAX, epoch: 3, ttl_micros: 2_000_000 },
-            LeaseFrame::Grant { replica: 4, epoch: 3 },
-            LeaseFrame::Deny { replica: 0, promised: u64::MAX },
-            LeaseFrame::Attest { holder: 17, epoch: 3 },
-            LeaseFrame::Vouch { replica: 2, epoch: 3, valid: true },
-            LeaseFrame::Vouch { replica: 2, epoch: 3, valid: false },
-        ] {
-            assert_eq!(LeaseFrame::decode(&frame.encode()).unwrap(), frame);
-        }
-        assert_eq!(LeaseFrame::decode(&[0x70]), Err(ProtoError::BadTag(0x70)));
-        assert_eq!(LeaseFrame::decode(&[TAG_LEASE_GRANT, 1]), Err(ProtoError::Truncated));
+        assert_eq!(ControlRequest::Audit.encode(), vec![TAG_AUDIT_REQUEST]);
+        assert_eq!(ControlRequest::decode(&[TAG_AUDIT_REQUEST]).unwrap(), ControlRequest::Audit);
     }
 
     #[test]
@@ -1172,28 +1018,41 @@ mod tests {
 
     #[test]
     fn stats_requests_address_a_shard() {
-        let frame = stats_request_frame(3);
+        let frame = ControlRequest::Stats { shard: 3 }.encode();
         assert_eq!(frame.len(), 5);
-        assert_eq!(stats_request_shard(&frame).unwrap(), 3);
-        assert_eq!(stats_request_shard(&[0x55]), Err(ProtoError::BadTag(0x55)));
-        assert_eq!(stats_request_shard(&[TAG_STATS_REQUEST]), Err(ProtoError::Truncated));
+        assert_eq!(ControlRequest::decode(&frame).unwrap(), ControlRequest::Stats { shard: 3 });
+        assert_eq!(ControlRequest::decode(&[0x55]), Err(ProtoError::BadTag(0x55)));
+        assert_eq!(ControlRequest::decode(&[TAG_STATS_REQUEST]), Err(ProtoError::Truncated));
         assert_eq!(
-            stats_request_shard(&[TAG_STATS_REQUEST, 1, 2, 3, 4, 5]),
+            ControlRequest::decode(&[TAG_STATS_REQUEST, 1, 2, 3, 4, 5]),
             Err(ProtoError::TrailingBytes)
         );
     }
 
     #[test]
     fn lease_state_requests_address_a_shard() {
-        let frame = lease_state_request_frame(3);
+        let frame = ControlRequest::LeaseState { shard: 3 }.encode();
         assert_eq!(frame.len(), 5);
-        assert_eq!(lease_state_request_shard(&frame).unwrap(), 3);
-        // The pre-sharding tag-only frame still parses, as shard 0.
-        assert_eq!(lease_state_request_shard(&[TAG_LEASE_STATE_REQUEST]).unwrap(), 0);
-        assert_eq!(lease_state_request_shard(&[0x55]), Err(ProtoError::BadTag(0x55)));
         assert_eq!(
-            lease_state_request_shard(&[TAG_LEASE_STATE_REQUEST, 1, 2]),
+            ControlRequest::decode(&frame).unwrap(),
+            ControlRequest::LeaseState { shard: 3 }
+        );
+        // The pre-sharding tag-only frame still parses, as shard 0.
+        assert_eq!(
+            ControlRequest::decode(&[TAG_LEASE_STATE_REQUEST]).unwrap(),
+            ControlRequest::LeaseState { shard: 0 }
+        );
+        assert_eq!(
+            ControlRequest::decode(&[TAG_LEASE_STATE_REQUEST, 1, 2]),
             Err(ProtoError::Truncated)
         );
+    }
+
+    #[test]
+    fn retired_lease_tags_are_not_control_requests() {
+        for tag in 0x09..=0x0d {
+            assert_eq!(ControlRequest::decode(&[tag]), Err(ProtoError::BadTag(tag)));
+        }
+        assert_eq!(ControlRequest::decode(&[TAG_REQUEST]), Err(ProtoError::BadTag(TAG_REQUEST)));
     }
 }

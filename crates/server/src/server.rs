@@ -4,13 +4,21 @@
 //! [`KvEngine`](crate::KvEngine) running the n-replica consensus
 //! session), and bridges each accepted socket to the engine:
 //!
-//! * a **reader thread** per connection decodes request frames and
-//!   submits them on the engine's intake channel; a clean EOF, a
-//!   truncated frame, or a malformed message deregisters the connection
-//!   (the protocol has no error responses — a peer that cannot speak it
-//!   is dropped);
+//! * a **reader thread** per connection decodes each inbound frame in
+//!   one place: a [`Request`] goes to the engine's intake as a submit,
+//!   anything else must decode as a [`ControlRequest`] (sync, audit,
+//!   lease state, stats) and goes to the intake as one control message.
+//!   A clean EOF, a truncated frame, or a malformed message deregisters
+//!   the connection (the protocol has no error responses — a peer that
+//!   cannot speak it is dropped);
 //! * a **writer thread** per connection forwards the engine's
-//!   acknowledgements back as response frames.
+//!   acknowledgements back as response frames, and its control replies
+//!   verbatim.
+//!
+//! The server keeps one handle to each live socket, keyed by its
+//! connection, so that shutdown can unblock the readers; a reader drops
+//! its own entry when its connection ends, so a closed connection holds
+//! no file descriptor.
 //!
 //! A client that dies mid-request costs the server nothing: the reader
 //! sees EOF, deregisters, and the command — if already batched — still
@@ -19,6 +27,7 @@
 //! from the decided log without a second apply. The integration suite
 //! kills clients mid-request to pin this down.
 
+use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,13 +35,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::engine::{EngineConfig, EngineHandle, KvEngine, Outbound};
-use crate::proto::{
-    lease_state_request_shard, stats_request_shard, Request, SyncFrame, TAG_AUDIT_REQUEST,
-    TAG_LEASE_STATE_REQUEST, TAG_REQUEST, TAG_STATS_REQUEST, TAG_SYNC_REQUEST,
-};
+use crate::engine::{ConnId, EngineConfig, EngineHandle, KvEngine, Outbound};
+use crate::proto::{ControlRequest, Request, TAG_REQUEST};
 use crate::shard::ShardedAudit;
 use crate::wire::{write_frame, FrameReader};
+
+/// One handle per live socket, keyed by its engine connection.
+type Sockets = HashMap<ConnId, TcpStream>;
 
 /// A running networked replicated-KV service.
 #[derive(Debug)]
@@ -42,7 +51,7 @@ pub struct KvServer {
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     /// Live sockets, for shutdown to unblock their reader threads.
-    socks: Arc<Mutex<Vec<TcpStream>>>,
+    socks: Arc<Mutex<Sockets>>,
 }
 
 impl KvServer {
@@ -55,7 +64,7 @@ impl KvServer {
         let engine = KvEngine::spawn(config);
         let handle = engine.handle();
         let stop = Arc::new(AtomicBool::new(false));
-        let socks: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let socks = Arc::new(Mutex::new(Sockets::new()));
         let acceptor = {
             let stop = Arc::clone(&stop);
             let socks = Arc::clone(&socks);
@@ -85,15 +94,7 @@ impl KvServer {
     /// Panics if the acceptor or engine driver thread panicked.
     #[must_use]
     pub fn shutdown(mut self) -> ShardedAudit {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            h.join().expect("acceptor thread panicked");
-        }
-        // Closing the sockets unblocks the per-connection reader threads,
-        // whose exits deregister their connections from the engine.
-        for s in self.socks.lock().expect("socket registry poisoned").drain(..) {
-            let _ = s.shutdown(Shutdown::Both);
-        }
+        assert!(self.close_front_door(), "acceptor thread panicked");
         self.engine.shutdown()
     }
 
@@ -103,14 +104,20 @@ impl KvServer {
     /// of `kill -9`, for recovery tests; restart with
     /// [`bind`](KvServer::bind) on the same durability directory.
     pub fn kill(mut self) {
+        let _ = self.close_front_door();
+        self.engine.kill();
+    }
+
+    /// Stops accepting and closes every live socket, which unblocks the
+    /// per-connection reader threads; their exits deregister their
+    /// connections from the engine. `false` if the acceptor panicked.
+    fn close_front_door(&mut self) -> bool {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for s in self.socks.lock().expect("socket registry poisoned").drain(..) {
+        let clean = self.acceptor.take().is_none_or(|h| h.join().is_ok());
+        for (_, s) in self.socks.lock().expect("socket registry poisoned").drain() {
             let _ = s.shutdown(Shutdown::Both);
         }
-        self.engine.kill();
+        clean
     }
 }
 
@@ -120,16 +127,14 @@ fn accept_loop(
     listener: &TcpListener,
     engine: &EngineHandle,
     stop: &AtomicBool,
-    socks: &Mutex<Vec<TcpStream>>,
+    socks: &Arc<Mutex<Sockets>>,
 ) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if let Err(e) = spawn_connection(stream, engine, socks) {
-                    // A socket that failed setup is dropped; the peer
-                    // sees a closed connection and retries elsewhere.
-                    let _ = e;
-                }
+                // A socket that failed setup is dropped; the peer sees a
+                // closed connection and retries elsewhere.
+                let _ = spawn_connection(stream, engine, socks);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -143,21 +148,21 @@ fn accept_loop(
 fn spawn_connection(
     stream: TcpStream,
     engine: &EngineHandle,
-    socks: &Mutex<Vec<TcpStream>>,
+    socks: &Arc<Mutex<Sockets>>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_nonblocking(false)?;
     let read_side = stream.try_clone()?;
     let mut write_side = stream.try_clone()?;
-    socks.lock().expect("socket registry poisoned").push(stream);
 
     let (submit, acks) = engine.connect();
+    let conn = submit.conn();
+    socks.lock().expect("socket registry poisoned").insert(conn, stream);
 
     // Writer: engine outbound -> frames. Acks are encoded responses;
-    // control payloads (sync stream, audit reply) are pre-encoded by the
-    // engine and written verbatim. Exits when the engine drops the
-    // connection's sender (deregistration) or the socket dies.
-    let wsock = write_side.try_clone()?;
+    // control replies are pre-encoded by the engine and written
+    // verbatim. Exits when the engine drops the connection's sender
+    // (deregistration) or the socket dies.
     std::thread::spawn(move || {
         while let Ok(out) = acks.recv() {
             let bytes = match out {
@@ -170,41 +175,28 @@ fn spawn_connection(
         }
     });
 
-    // Reader: inbound frames -> engine intake, dispatched on the tag
-    // byte (requests, sync requests from rejoining replicas, audit
-    // requests). Owns the SubmitHandle, so its exit (EOF, truncation,
-    // garbage) deregisters the connection, which disconnects the
-    // writer's receiver and lets it exit too.
+    // Reader: inbound frames -> engine intake. Owns the SubmitHandle, so
+    // its exit (EOF, truncation, garbage) deregisters the connection,
+    // which disconnects the writer's receiver and lets it exit too.
+    let socks = Arc::clone(socks);
     std::thread::spawn(move || {
         let mut reader = FrameReader::new(read_side);
         while let Ok(Some(payload)) = reader.read_frame() {
-            let keep_going = match payload.first() {
-                Some(&TAG_REQUEST) => match Request::decode(&payload) {
-                    Ok(request) => submit.submit(request),
-                    Err(_) => false,
-                },
-                Some(&TAG_SYNC_REQUEST) => match SyncFrame::decode(&payload) {
-                    Ok(SyncFrame::Request { shard, .. }) => submit.request_sync(shard),
-                    _ => false,
-                },
-                Some(&TAG_AUDIT_REQUEST) => submit.request_audit(),
-                Some(&TAG_LEASE_STATE_REQUEST) => match lease_state_request_shard(&payload) {
-                    Ok(shard) => submit.request_lease_state(shard),
-                    Err(_) => false,
-                },
-                Some(&TAG_STATS_REQUEST) => match stats_request_shard(&payload) {
-                    Ok(shard) => submit.request_stats(shard),
-                    Err(_) => false,
-                },
-                _ => false,
+            let keep_going = if payload.first() == Some(&TAG_REQUEST) {
+                Request::decode(&payload).is_ok_and(|request| submit.submit(request))
+            } else {
+                ControlRequest::decode(&payload).is_ok_and(|req| submit.control(req))
             };
             if !keep_going {
                 break;
             }
         }
-        // Unblock the writer promptly even if the engine keeps the ack
-        // sender alive briefly.
-        let _ = wsock.shutdown(Shutdown::Write);
+        // Leave the registry, and unblock the writer promptly even if
+        // the engine keeps the ack sender alive briefly.
+        let entry = socks.lock().expect("socket registry poisoned").remove(&conn);
+        if let Some(sock) = entry {
+            let _ = sock.shutdown(Shutdown::Write);
+        }
         drop(submit);
     });
     Ok(())

@@ -31,8 +31,8 @@ use indulgent_model::{ClientId, RequestId};
 
 use crate::engine::{EngineHandle, Outbound, SubmitHandle};
 use crate::proto::{
-    audit_request_frame, lease_state_request_frame, stats_request_frame, AuditSummary, KvOp,
-    LeaseStatus, ProtoError, Request, Response, StatsReport, SyncFrame,
+    AuditSummary, ControlRequest, KvOp, LeaseStatus, ProtoError, Request, Response, StatsReport,
+    SyncFrame,
 };
 use crate::snapshot::Snapshot;
 use crate::wal::{replay_bytes, WalError, WalTail};
@@ -233,13 +233,6 @@ impl RemoteKv {
         self.client
     }
 
-    /// The next request id this session will mint (hand it to
-    /// [`connect_from`](RemoteKv::connect_from) when reconnecting).
-    #[must_use]
-    pub fn next_request(&self) -> RequestId {
-        self.next_request
-    }
-
     /// Submits `(request, op)` and waits for the matching ack, re-sending
     /// the same id on slow acks. Public so tests can replay an explicit
     /// request id across retries and reconnects; replaying advances the
@@ -358,9 +351,42 @@ fn retryable(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
+/// The client half of every control query: opens a dedicated
+/// connection to `peer`, sends `req`, and hands each reply frame to
+/// `reply` until it answers the call (`Some`) or `timeout` lapses.
+fn control_call<T>(
+    peer: SocketAddr,
+    req: ControlRequest,
+    timeout: Duration,
+    mut reply: impl FnMut(&[u8]) -> Result<Option<T>, ServiceError>,
+) -> Result<T, ServiceError> {
+    let mut writer = TcpStream::connect(peer).map_err(WireError::Io)?;
+    writer.set_nodelay(true).map_err(WireError::Io)?;
+    let read_side = writer.try_clone().map_err(WireError::Io)?;
+    read_side.set_read_timeout(Some(Duration::from_millis(50))).map_err(WireError::Io)?;
+    let mut reader = FrameReader::new(read_side);
+    let deadline = Instant::now() + timeout;
+    write_frame(&mut writer, &req.encode())?;
+    loop {
+        if Instant::now() > deadline {
+            return Err(ServiceError::Timeout { request: RequestId(0) });
+        }
+        match reader.read_frame() {
+            Ok(Some(payload)) => {
+                if let Some(answer) = reply(&payload)? {
+                    return Ok(answer);
+                }
+            }
+            Ok(None) => return Err(ServiceError::Disconnected),
+            Err(WireError::Io(ref e)) if retryable(e) => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+}
+
 /// Pulls one shard's durable state from a peer over its framed TCP port
 /// and materializes it into `dir` — the per-shard rejoin transfer. Opens
-/// a dedicated connection, sends a [`SyncFrame::Request`] naming the
+/// a dedicated connection, sends a [`ControlRequest::Sync`] naming the
 /// shard, reassembles the chunked snapshot, collects the catch-up
 /// records, verifies everything (checksums, slot contiguity from the
 /// snapshot, the peer's declared `applied_through`), and writes
@@ -370,67 +396,60 @@ fn retryable(e: &io::Error) -> bool {
 /// through. For a whole-service rejoin across every shard, use
 /// [`sync_all_from_peer`].
 pub fn sync_from_peer(peer: SocketAddr, shard: u32, dir: &Path) -> Result<u64, ServiceError> {
-    let mut writer = TcpStream::connect(peer).map_err(WireError::Io)?;
-    writer.set_nodelay(true).map_err(WireError::Io)?;
-    let read_side = writer.try_clone().map_err(WireError::Io)?;
-    read_side.set_read_timeout(Some(Duration::from_millis(50))).map_err(WireError::Io)?;
-    let mut reader = FrameReader::new(read_side);
-    write_frame(&mut writer, &SyncFrame::Request { from_slot: 0, shard }.encode())?;
-
     let mut blob: Vec<u8> = Vec::new();
     let mut chunks_seen = 0u32;
     let mut wal_bytes: Vec<u8> = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if Instant::now() > deadline {
-            return Err(ServiceError::Timeout { request: RequestId(0) });
-        }
-        let payload = match reader.read_frame() {
-            Ok(Some(p)) => p,
-            Ok(None) => return Err(ServiceError::Disconnected),
-            Err(WireError::Io(ref e)) if retryable(e) => continue,
-            Err(e) => return Err(e.into()),
-        };
-        match SyncFrame::decode(&payload)? {
-            SyncFrame::SnapshotChunk { index, total, bytes } => {
-                if index != chunks_seen || index >= total {
-                    return Err(ServiceError::Proto(ProtoError::Truncated));
-                }
-                chunks_seen += 1;
-                blob.extend_from_slice(&bytes);
-            }
-            SyncFrame::Record { bytes } => wal_bytes.extend_from_slice(&bytes),
-            SyncFrame::Done { applied_through } => {
-                // Validate before persisting: the snapshot must verify,
-                // and the records must replay cleanly and contiguously up
-                // to the peer's declared watermark.
-                let snap = Snapshot::from_framed_bytes(&blob)?;
-                let replay = replay_bytes(&wal_bytes)?;
-                if !matches!(replay.tail, WalTail::Clean) {
-                    return Err(ServiceError::Proto(ProtoError::Truncated));
-                }
-                let mut expected = snap.applied_through + 1;
-                for rec in &replay.records {
-                    if rec.slot != expected {
-                        return Err(ServiceError::Proto(ProtoError::Truncated));
-                    }
-                    expected += 1;
-                }
-                if expected != applied_through + 1 {
-                    return Err(ServiceError::Proto(ProtoError::Truncated));
-                }
-                std::fs::create_dir_all(dir).map_err(WireError::Io)?;
-                snap.write_to(&dir.join("state.snap"))?;
-                let mut wal = File::create(dir.join("wal.log")).map_err(WireError::Io)?;
-                wal.write_all(&wal_bytes).map_err(WireError::Io)?;
-                wal.sync_data().map_err(WireError::Io)?;
-                return Ok(applied_through);
-            }
-            SyncFrame::Request { .. } => {
+    let req = ControlRequest::Sync { from_slot: 0, shard };
+    control_call(peer, req, Duration::from_secs(30), |payload| match SyncFrame::decode(payload)? {
+        SyncFrame::SnapshotChunk { index, total, bytes } => {
+            if index != chunks_seen || index >= total {
                 return Err(ServiceError::Proto(ProtoError::Truncated));
             }
+            chunks_seen += 1;
+            blob.extend_from_slice(&bytes);
+            Ok(None)
         }
+        SyncFrame::Record { bytes } => {
+            wal_bytes.extend_from_slice(&bytes);
+            Ok(None)
+        }
+        SyncFrame::Done { applied_through } => {
+            persist_transfer(&blob, &wal_bytes, applied_through, dir)?;
+            Ok(Some(applied_through))
+        }
+    })
+}
+
+/// Validates a finished transfer, then persists it: the snapshot must
+/// verify, and the records must replay cleanly and contiguously up to
+/// the peer's declared watermark.
+fn persist_transfer(
+    blob: &[u8],
+    wal_bytes: &[u8],
+    applied_through: u64,
+    dir: &Path,
+) -> Result<(), ServiceError> {
+    let snap = Snapshot::from_framed_bytes(blob)?;
+    let replay = replay_bytes(wal_bytes)?;
+    if !matches!(replay.tail, WalTail::Clean) {
+        return Err(ServiceError::Proto(ProtoError::Truncated));
     }
+    let mut expected = snap.applied_through + 1;
+    for rec in &replay.records {
+        if rec.slot != expected {
+            return Err(ServiceError::Proto(ProtoError::Truncated));
+        }
+        expected += 1;
+    }
+    if expected != applied_through + 1 {
+        return Err(ServiceError::Proto(ProtoError::Truncated));
+    }
+    std::fs::create_dir_all(dir).map_err(WireError::Io)?;
+    snap.write_to(&dir.join("state.snap"))?;
+    let mut wal = File::create(dir.join("wal.log")).map_err(WireError::Io)?;
+    wal.write_all(wal_bytes).map_err(WireError::Io)?;
+    wal.sync_data().map_err(WireError::Io)?;
+    Ok(())
 }
 
 /// Rejoins a whole service from a peer: pulls every shard's durable
@@ -449,35 +468,21 @@ pub fn sync_all_from_peer(peer: SocketAddr, shards: u32, root: &Path) -> Result<
 }
 
 /// Runs the server-side replay audit over the wire: asks the peer to
-/// audit itself and retries until the engine reports a quiesced,
-/// `complete` verdict (or the timeout lapses). Uses a dedicated
-/// connection; call it once load has stopped.
+/// audit itself and asks again, every 50 ms, until the engine reports a
+/// quiesced, `complete` verdict (or the timeout lapses). Call it once
+/// load has stopped.
 pub fn remote_audit(peer: SocketAddr, timeout: Duration) -> Result<AuditSummary, ServiceError> {
-    let mut writer = TcpStream::connect(peer).map_err(WireError::Io)?;
-    writer.set_nodelay(true).map_err(WireError::Io)?;
-    let read_side = writer.try_clone().map_err(WireError::Io)?;
-    read_side.set_read_timeout(Some(Duration::from_millis(50))).map_err(WireError::Io)?;
-    let mut reader = FrameReader::new(read_side);
     let deadline = Instant::now() + timeout;
-    write_frame(&mut writer, &audit_request_frame())?;
     loop {
-        if Instant::now() > deadline {
-            return Err(ServiceError::Timeout { request: RequestId(0) });
+        let left = deadline.saturating_duration_since(Instant::now());
+        let summary = control_call(peer, ControlRequest::Audit, left, |payload| {
+            Ok(Some(AuditSummary::decode(payload)?))
+        })?;
+        if summary.complete {
+            return Ok(summary);
         }
-        match reader.read_frame() {
-            Ok(Some(payload)) => {
-                let summary = AuditSummary::decode(&payload)?;
-                if summary.complete {
-                    return Ok(summary);
-                }
-                // Not yet quiesced; ask again shortly.
-                std::thread::sleep(Duration::from_millis(50));
-                write_frame(&mut writer, &audit_request_frame())?;
-            }
-            Ok(None) => return Err(ServiceError::Disconnected),
-            Err(WireError::Io(ref e)) if retryable(e) => {}
-            Err(e) => return Err(e.into()),
-        }
+        // Not yet quiesced; ask again shortly.
+        std::thread::sleep(Duration::from_millis(50));
     }
 }
 
@@ -492,24 +497,9 @@ pub fn remote_lease_state(
     shard: u32,
     timeout: Duration,
 ) -> Result<LeaseStatus, ServiceError> {
-    let mut writer = TcpStream::connect(peer).map_err(WireError::Io)?;
-    writer.set_nodelay(true).map_err(WireError::Io)?;
-    let read_side = writer.try_clone().map_err(WireError::Io)?;
-    read_side.set_read_timeout(Some(Duration::from_millis(50))).map_err(WireError::Io)?;
-    let mut reader = FrameReader::new(read_side);
-    let deadline = Instant::now() + timeout;
-    write_frame(&mut writer, &lease_state_request_frame(shard))?;
-    loop {
-        if Instant::now() > deadline {
-            return Err(ServiceError::Timeout { request: RequestId(0) });
-        }
-        match reader.read_frame() {
-            Ok(Some(payload)) => return Ok(LeaseStatus::decode(&payload)?),
-            Ok(None) => return Err(ServiceError::Disconnected),
-            Err(WireError::Io(ref e)) if retryable(e) => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
+    control_call(peer, ControlRequest::LeaseState { shard }, timeout, |payload| {
+        Ok(Some(LeaseStatus::decode(payload)?))
+    })
 }
 
 /// Scrapes one shard's live pipeline metrics over the wire: slot and
@@ -525,22 +515,7 @@ pub fn remote_stats(
     shard: u32,
     timeout: Duration,
 ) -> Result<StatsReport, ServiceError> {
-    let mut writer = TcpStream::connect(peer).map_err(WireError::Io)?;
-    writer.set_nodelay(true).map_err(WireError::Io)?;
-    let read_side = writer.try_clone().map_err(WireError::Io)?;
-    read_side.set_read_timeout(Some(Duration::from_millis(50))).map_err(WireError::Io)?;
-    let mut reader = FrameReader::new(read_side);
-    let deadline = Instant::now() + timeout;
-    write_frame(&mut writer, &stats_request_frame(shard))?;
-    loop {
-        if Instant::now() > deadline {
-            return Err(ServiceError::Timeout { request: RequestId(0) });
-        }
-        match reader.read_frame() {
-            Ok(Some(payload)) => return Ok(StatsReport::decode(&payload)?),
-            Ok(None) => return Err(ServiceError::Disconnected),
-            Err(WireError::Io(ref e)) if retryable(e) => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
+    control_call(peer, ControlRequest::Stats { shard }, timeout, |payload| {
+        Ok(Some(StatsReport::decode(payload)?))
+    })
 }

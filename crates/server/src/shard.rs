@@ -56,12 +56,6 @@ impl ShardRouter {
         ShardRouter { shards }
     }
 
-    /// How many shards this router spreads the keyspace over.
-    #[must_use]
-    pub fn shards(self) -> u32 {
-        self.shards
-    }
-
     /// The shard owning `key`. Fixed multiplicative hash (a Murmur-style
     /// xor fold through the 64-bit golden ratio), taking the high bits
     /// so consecutive keys spread instead of striping.
